@@ -14,9 +14,9 @@ their pre-LabelStore ("seed") counterparts:
    20k-vertex BA graph at k=64 for an insert affecting <= 8 landmarks,
    with the repaired labelling byte-identical to a fresh build.
 
-2. **Snapshot-load latency.** A v2 snapshot loaded with ``mmap=True``
-   maps the label arrays zero-copy; the copying v1/v2 loads read the
-   whole index into RAM. The table reports all three.
+2. **Snapshot-load latency.** A snapshot loaded with ``mmap=True``
+   maps the label arrays zero-copy; the copying load reads the whole
+   index into RAM. The table reports both.
 
 Environment knobs (for CI smoke runs):
 
@@ -174,13 +174,10 @@ def test_snapshot_load_latency(results_dir, tmp_path):
     """v2 mmap loads zero-copy and without reading the label arrays."""
     graph = barabasi_albert_graph(NUM_VERTICES, 3, seed=7)
     oracle = DynamicHighwayCoverOracle(num_landmarks=NUM_LANDMARKS).build(graph)
-    v1_path = tmp_path / "index.v1.hl"
     v2_path = tmp_path / "index.v2.hl"
-    v1_bytes = save_oracle(oracle, v1_path, version=1)
-    v2_bytes = save_oracle(oracle, v2_path, version=2)
+    v2_bytes = save_oracle(oracle, v2_path)
 
     timings = {
-        "v1 copy": _time_best(lambda: load_oracle(graph, v1_path)),
         "v2 copy": _time_best(lambda: load_oracle(graph, v2_path)),
         "v2 mmap": _time_best(lambda: load_oracle(graph, v2_path, mmap=True)),
     }
@@ -200,7 +197,7 @@ def test_snapshot_load_latency(results_dir, tmp_path):
         [mode, f"{seconds * 1e3:.2f}"]
         for mode, seconds in timings.items()
     ]
-    rows.append(["index size v1/v2", f"{v1_bytes:,} / {v2_bytes:,} bytes"])
+    rows.append(["index size", f"{v2_bytes:,} bytes"])
     save_and_print(
         results_dir,
         "dynamic_load",

@@ -11,10 +11,6 @@ beat the interpreted ``numpy`` reference by **>= 10x** on single-query
 latency. The batch path (``query_many``) is reported per backend too,
 since the stacked multi-target kernel also moved behind the seam.
 
-``pyloop`` (the pure-Python mirror of the compiled loops, kept for
-debugging) is measured on a slice of the workload — it exists for
-readability, not speed.
-
 Environment knobs (for CI smoke runs):
 
 * ``REPRO_BENCH_KERNEL_N`` — graph size (default 20000).
@@ -48,9 +44,6 @@ NUM_LANDMARKS = 20
 #: Acceptance bar on the full workload (ISSUE 7): best compiled backend
 #: vs the numpy reference on single-query latency.
 FULL_WORKLOAD_SPEEDUP = 10.0
-#: pyloop gets a slice of the workload — it is the readable mirror of
-#: the compiled loops, not a contender.
-PYLOOP_PAIRS = 40
 
 
 def _time_point_queries(oracle, pairs) -> float:
@@ -85,11 +78,10 @@ def main(smoke: bool = False) -> int:
     for name in available_kernels():
         backend = get_kernel(name)
         oracle.set_kernel(name)
-        subset = pairs[:PYLOOP_PAIRS] if name == "pyloop" else pairs
-        oracle.query(int(subset[0, 0]), int(subset[0, 1]))  # warm caches/JIT
-        point_s = _time_point_queries(oracle, subset)
+        oracle.query(int(pairs[0, 0]), int(pairs[0, 1]))  # warm caches
+        point_s = _time_point_queries(oracle, pairs)
         point = np.array(
-            [oracle.query(int(s), int(t)) for s, t in subset], dtype=float
+            [oracle.query(int(s), int(t)) for s, t in pairs], dtype=float
         )
         oracle.query_many(pairs[:16])
         start = time.perf_counter()
@@ -100,14 +92,14 @@ def main(smoke: bool = False) -> int:
             reference = (name, point, batch)
         else:
             ref_name, ref_point, ref_batch = reference
-            assert np.array_equal(point, ref_point[: len(point)]), (
+            assert np.array_equal(point, ref_point), (
                 f"kernel {name!r} point queries diverged from {ref_name!r}"
             )
             assert np.array_equal(batch, ref_batch), (
                 f"kernel {name!r} query_many diverged from {ref_name!r}"
             )
 
-        per_query_us[name] = point_s / len(subset) * 1e6
+        per_query_us[name] = point_s / len(pairs) * 1e6
         rows.append(
             [
                 name,
@@ -154,8 +146,8 @@ def main(smoke: bool = False) -> int:
             return 1
     elif not smoke:
         print(
-            "WARN: no compiled backend available (numba absent, no C "
-            "compiler); the 10x bar was not exercised",
+            "WARN: no compiled backend available (no C compiler); the "
+            "10x bar was not exercised",
             file=sys.stderr,
         )
     return 0

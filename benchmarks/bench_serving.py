@@ -251,9 +251,8 @@ def main(smoke: bool = False) -> int:
 def thread_scaling(smoke: bool = False) -> int:
     """QPS vs executor thread count, per available kernel backend.
 
-    One shared oracle, one shared pair workload; for every backend that
-    can vectorize (``pyloop`` is a deliberately slow audit backend and
-    is skipped) and every thread count, the whole workload runs as one
+    One shared oracle, one shared pair workload; for every available
+    backend and every thread count, the whole workload runs as one
     ``query_many`` batch through a :class:`QueryExecutor`. Every cell is
     asserted byte-identical to the 1-thread sequential answer; the >= 2x
     bar applies to GIL-releasing compiled backends at 4 threads, and
@@ -267,7 +266,7 @@ def thread_scaling(smoke: bool = False) -> int:
     graph = barabasi_albert_graph(num_vertices, 3, seed=7, name="thread-bench")
     oracle = build_oracle(graph, "hl", num_landmarks=NUM_LANDMARKS)
     pairs = sample_vertex_pairs(graph, num_pairs, seed=1)
-    backends = [n for n in available_kernels() if n != "pyloop"]
+    backends = available_kernels()
     print(
         f"thread-scaling benchmark: n={graph.num_vertices:,}, "
         f"m={graph.num_edges:,}, k={NUM_LANDMARKS}, {num_pairs:,} pairs, "
@@ -369,7 +368,7 @@ def _parse_args(argv=None) -> argparse.Namespace:
         help=(
             "run the thread-scaling mode instead of the serving "
             "comparison: QPS vs executor thread count for every "
-            "available kernel backend except pyloop"
+            "available kernel backend"
         ),
     )
     return parser.parse_args(argv)

@@ -211,8 +211,8 @@ def open_oracle(
             worker processes behind a
             :class:`~repro.serving.ShardedDistanceService` — with
             ``index``, every worker maps the given snapshot file
-            zero-copy by default (requires a v2 snapshot; ``mmap=False``
-            forces copying loads, e.g. for a v1 file); without, the
+            zero-copy by default (``mmap=False`` forces copying
+            loads); without, the
             index is built once and spooled. Sharded serving is always
             dynamic-capable, so ``dynamic`` is implied. Service knobs
             (``update_mode=``, ``cache_size=``, ...) pass through

@@ -131,7 +131,7 @@ class DynamicUpdates(Protocol):
 class Snapshotable(Protocol):
     """Capability layer: on-disk persistence (``Capability.SNAPSHOT``)."""
 
-    def save(self, path, version: int = 2) -> int:
+    def save(self, path) -> int:
         """Write the index to ``path``; returns bytes written."""
         ...
 

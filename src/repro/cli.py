@@ -12,8 +12,8 @@ Commands:
   ``np.memmap`` everywhere a graph is accepted.
 * ``build <graph> -o index.hl [-k 20] [--strategy degree]
   [--engine stacked|looped] [--chunk-size C] [--parallel]
-  [--store vertex|landmark] [--format-version 1|2]
-  [--from-edgelist] [--out-of-core]`` — build and persist an HL index
+  [--store vertex|landmark] [--from-edgelist] [--out-of-core]`` —
+  build and persist an HL index as a mappable snapshot
   (the stacked engine is the default; all engines and both label-store
   backends produce byte-identical indexes). ``--from-edgelist``
   streams the text through ``ingest`` into a temporary disk CSR first;
@@ -21,7 +21,7 @@ Commands:
   straight into the snapshot (:mod:`repro.core.ooc`) — same bytes,
   ``O(n)`` peak memory.
 * ``query <edgelist> <index> s t [s t ...] [--mmap] [--kernel K]`` —
-  exact distances from a saved index; ``--mmap`` maps a v2 index
+  exact distances from a saved index; ``--mmap`` maps the index
   zero-copy instead of reading it into RAM, ``--kernel`` selects the
   query kernel backend (see ``kernels``). With ``--remote HOST:PORT``
   the positionals are all vertex ids and the distances come from a
@@ -157,12 +157,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.out_of_core and args.format_version != 2:
-        print(
-            "error: --out-of-core writes the aligned v2 snapshot only",
-            file=sys.stderr,
-        )
-        return 2
     source = args.graph
     ingest_dir = None
     try:
@@ -197,7 +191,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 f"built HL/ooc(k={args.landmarks}, {args.strategy}) in "
                 f"{report.construction_seconds:.2f}s; "
                 f"entries={report.entries}; wrote "
-                f"{format_bytes(report.bytes_written)} (v2) to {args.output}"
+                f"{format_bytes(report.bytes_written)} to {args.output}"
             )
             return 0
         oracle = build_oracle(
@@ -210,7 +204,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             store=args.store,
         )
-        written = oracle.save(args.output, version=args.format_version)
+        written = oracle.save(args.output)
     finally:
         if ingest_dir is not None:
             ingest_dir.cleanup()
@@ -220,7 +214,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"store={args.store}) in "
         f"{oracle.construction_seconds:.2f}s; ALS="
         f"{oracle.average_label_size():.1f}; wrote {format_bytes(written)} "
-        f"(v{args.format_version}) to {args.output}"
+        f"to {args.output}"
     )
     return 0
 
@@ -379,12 +373,10 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_dataset(args: argparse.Namespace) -> int:
-    from repro.core.batch import coverage_ratio
-
     graph = load_dataset(args.name, scale=args.scale)
     oracle = build_oracle(graph, "hl", num_landmarks=args.landmarks)
     pairs = sample_vertex_pairs(graph, args.pairs, seed=1)
-    coverage = coverage_ratio(oracle, pairs)
+    coverage = oracle.batch_engine().coverage_ratio(pairs)
     print(
         format_table(
             ["dataset", "n", "m", "CT", "ALS", "index", "coverage"],
@@ -700,7 +692,7 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
         "--kernel",
         default=None,
         metavar="NAME",
-        help="query kernel backend (numpy/numba/cext/pyloop; "
+        help="query kernel backend (numpy/cext; "
         "default: auto-detect, see 'repro kernels')",
     )
 
@@ -775,13 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("vertex", "landmark"),
         default="vertex",
         help="in-memory label-store backend (identical snapshot on disk)",
-    )
-    p_build.add_argument(
-        "--format-version",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="snapshot format: 2 (aligned, mmap-able) or 1 (legacy)",
     )
     p_build.add_argument(
         "--from-edgelist",
@@ -1028,7 +1013,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_methods.set_defaults(func=_cmd_methods)
 
     p_kernels = sub.add_parser(
-        "kernels", help="list query kernel backends and the local default"
+        "kernels",
+        help="list the query kernel backends (numpy, cext) and the local "
+        "default",
     )
     p_kernels.set_defaults(func=_cmd_kernels)
 

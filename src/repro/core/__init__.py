@@ -38,7 +38,6 @@ from repro.core.verification import (
 )
 from repro.core.dynamic import DynamicHighwayCoverOracle
 from repro.core.paths import shortest_path
-from repro.core.batch import batch_query, batch_upper_bounds, coverage_ratio
 from repro.core.batch_engine import BatchQueryEngine
 from repro.core.ooc import OocBuildReport, build_snapshot_out_of_core
 from repro.core.serialization import SnapshotSpool, load_oracle, save_oracle
@@ -72,9 +71,6 @@ __all__ = [
     "DynamicHighwayCoverOracle",
     "shortest_path",
     "BatchQueryEngine",
-    "batch_query",
-    "batch_upper_bounds",
-    "coverage_ratio",
     "load_oracle",
     "save_oracle",
     "OocBuildReport",

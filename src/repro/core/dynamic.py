@@ -148,7 +148,7 @@ class DynamicHighwayCoverOracle(HighwayCoverOracle):
         new_graph = graph.with_edges_removed([(u, v)])
         return self._apply_update(new_graph, affected)
 
-    def save(self, path, version: int = 2) -> int:
+    def save(self, path) -> int:
         """Persist the index; an attached WAL is truncated afterwards.
 
         ``save_oracle`` is atomic and fsynced, so when it returns the
@@ -158,7 +158,7 @@ class DynamicHighwayCoverOracle(HighwayCoverOracle):
         that already contains the logged updates (module docstring of
         :mod:`repro.core.wal`).
         """
-        written = super().save(path, version=version)
+        written = super().save(path)
         if self.wal is not None:
             self.wal.truncate()
         return written

@@ -15,7 +15,7 @@ the format):
 * magic, version, known flag bits, 8-bit ids only when ``k <= 256``;
 * file size exactly matches the section layout the header implies
   (with per-section salvage reporting when truncated);
-* v2 sections start on 64-byte boundaries;
+* sections start on 64-byte boundaries;
 * label offsets: ``offsets[0] == 0``, ``offsets[-1] == entries``,
   non-decreasing;
 * label landmark ids in ``[0, k)`` (the u8/u16 id-width contract);
@@ -141,7 +141,7 @@ def fsck_path(path: PathLike) -> FsckReport:
 
 
 def fsck_snapshot(path: PathLike) -> FsckReport:
-    """Validate every invariant of a v1/v2 snapshot file.
+    """Validate every invariant of a snapshot file.
 
     Checks are layered: header sanity first, then the size/layout
     equation, then — for each array section that is fully present —
@@ -171,7 +171,7 @@ def fsck_snapshot(path: PathLike) -> FsckReport:
     version, flags, n, k, entries = struct.unpack(
         _ser._HEADER_STRUCT, data[4:header_bytes]
     )
-    if version not in _ser._SUPPORTED_VERSIONS:
+    if version != _ser._V2:
         report.error("bad-version", f"unsupported index version {version}")
         return report
     if flags & ~_ser._KNOWN_FLAGS:
@@ -185,20 +185,19 @@ def fsck_snapshot(path: PathLike) -> FsckReport:
         )
         return report
 
-    sections = _ser._section_offsets(version, n, k, entries, narrow)
+    sections = _ser._section_offsets(n, k, entries, narrow)
     expected = sections[-1]
-    if version == _ser._V2:
-        misaligned = [
-            name
-            for name, start in zip(_SECTION_NAMES, sections)
-            if start % _ser._ALIGNMENT
-        ]
-        if misaligned:  # pragma: no cover - layout-equation guard
-            report.error(
-                "misaligned-section",
-                f"v2 sections not on {_ser._ALIGNMENT}-byte boundaries: "
-                f"{', '.join(misaligned)}",
-            )
+    misaligned = [
+        name
+        for name, start in zip(_SECTION_NAMES, sections)
+        if start % _ser._ALIGNMENT
+    ]
+    if misaligned:  # pragma: no cover - layout-equation guard
+        report.error(
+            "misaligned-section",
+            f"sections not on {_ser._ALIGNMENT}-byte boundaries: "
+            f"{', '.join(misaligned)}",
+        )
     if len(data) != expected:
         kind = "truncated" if len(data) < expected else "oversized"
         report.error(

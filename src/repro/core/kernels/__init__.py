@@ -12,23 +12,20 @@ those loops as interchangeable backends behind one interface
 name      compiled  releases GIL  availability
 ========  ========  ============  =======================================
 numpy     no        no            always (the reference semantics)
-numba     yes       yes           when ``import numba`` succeeds
 cext      yes       yes           when a C compiler (cc/gcc/clang) exists
-pyloop    no        no            always (testing twin of ``numba``;
-                                  hidden from auto-detection)
 ========  ========  ============  =======================================
 
 Selection, in priority order:
 
-1. an explicit ``kernel=`` argument (``make_oracle(..., kernel="numba")``,
+1. an explicit ``kernel=`` argument (``make_oracle(..., kernel="cext")``,
    ``HighwayCoverOracle(kernel=...)``, or any of the search wrappers) —
    unknown names raise :class:`~repro.errors.KernelError`, unavailable
    backends raise :class:`~repro.errors.KernelUnavailableError`;
 2. the ``REPRO_KERNEL`` environment variable (same strictness — setting
    it *is* an explicit request);
-3. auto-detection: ``numba`` if importable, else ``cext`` if a compiler
-   is present, else ``numpy``. Auto-detection never raises; a backend
-   that fails to initialize is skipped silently.
+3. auto-detection: ``cext`` if a compiler is present, else ``numpy``.
+   Auto-detection never raises; a backend that fails to initialize is
+   skipped silently.
 
 Every backend is asserted byte-identical to ``numpy`` by the conformance
 gauntlet (``tests/test_kernels.py``) — swapping kernels is a pure
@@ -63,11 +60,11 @@ __all__ = [
 #: Environment variable naming the default backend (an explicit request).
 ENV_VAR = "REPRO_KERNEL"
 
-#: Auto-detection preference order (``pyloop`` deliberately absent).
-AUTO_ORDER = ("numba", "cext", "numpy")
+#: Auto-detection preference order.
+AUTO_ORDER = ("cext", "numpy")
 
 #: Registered backend names, in documentation order.
-KERNEL_NAMES = ("numpy", "numba", "cext", "pyloop")
+KERNEL_NAMES = ("numpy", "cext")
 
 _instances: Dict[str, KernelBackend] = {}
 _auto_default: Optional[KernelBackend] = None
@@ -78,14 +75,6 @@ def _construct(name: str) -> KernelBackend:
         from repro.core.kernels.numpy_backend import NumpyKernel
 
         return NumpyKernel()
-    if name == "pyloop":
-        from repro.core.kernels.jit import PyLoopKernel
-
-        return PyLoopKernel()
-    if name == "numba":
-        from repro.core.kernels.jit import NumbaKernel
-
-        return NumbaKernel()
     if name == "cext":
         from repro.core.kernels.cext import CExtKernel
 
@@ -101,8 +90,8 @@ def get_kernel(name: Optional[str] = None) -> KernelBackend:
     ``None`` consults ``REPRO_KERNEL``, then auto-detects. Explicit
     names (argument or environment) raise :class:`KernelError` when
     unknown and :class:`KernelUnavailableError` when the backend cannot
-    initialize here; auto-detection silently falls back along
-    ``numba -> cext -> numpy``.
+    initialize here; auto-detection silently falls back from ``cext``
+    to ``numpy``.
     """
     if name is None:
         env = os.environ.get(ENV_VAR)

@@ -14,8 +14,9 @@ ctypes releases the GIL for the duration of every foreign call, so the
 search kernels run truly concurrently under threaded serving — the GIL
 guarantee the ROADMAP's thread-per-shard item needs.
 
-The C functions mirror :mod:`repro.core.kernels.loops` statement for
-statement; the conformance gauntlet asserts all backends byte-identical.
+The C functions compute exactly what the vectorized ``numpy``
+reference computes; the conformance gauntlet asserts the two backends
+byte-identical.
 """
 
 from __future__ import annotations

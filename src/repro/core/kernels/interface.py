@@ -177,13 +177,11 @@ class KernelBackend:
     distinct non-excluded endpoints, positive bounds, canonical dtypes.
 
     Attributes:
-        name: registry name (``"numpy"``, ``"numba"``, ``"cext"``,
-            ``"pyloop"``).
+        name: registry name (``"numpy"`` or ``"cext"``).
         compiled: True when the hot loops run as machine code.
         releases_gil: True when the search kernels drop the GIL while
-            running (ctypes foreign calls; ``numba.njit(nogil=True)``),
-            which is what lets thread-per-shard serving scale past one
-            core.
+            running (ctypes foreign calls), which is what lets
+            thread-per-shard serving scale past one core.
     """
 
     name: str = "abstract"

@@ -281,7 +281,7 @@ def _scatter_snapshot(
     if finite.any() and matrix[finite].max() > 65534:
         raise ReproError("highway distance exceeds u16 range")
     matrix[~finite] = _ser._UNREACHABLE_U16
-    sections = _ser._section_offsets(_ser._V2, n, k, entries, narrow)
+    sections = _ser._section_offsets(n, k, entries, narrow)
     sec_ids, sec_dists, end = sections[3], sections[4], sections[5]
     id_dtype = "<u1" if narrow else "<u4"
 

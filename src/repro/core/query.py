@@ -70,9 +70,9 @@ class HighwayCoverOracle:
             (mutable landmark-major runs, update-optimal; the dynamic
             oracle's default). ``None`` picks the class default. See
             :mod:`repro.core.labels`.
-        kernel: query kernel backend name (``"numpy"``, ``"numba"``,
-            ``"cext"``, ``"pyloop"``). ``None`` defers to the process
-            default (``REPRO_KERNEL`` or auto-detection); see
+        kernel: query kernel backend name (``"numpy"`` or ``"cext"``).
+            ``None`` defers to the process default (``REPRO_KERNEL`` or
+            auto-detection); see
             :mod:`repro.core.kernels`. All backends are byte-identical —
             this is purely a performance switch.
 
@@ -341,16 +341,15 @@ class HighwayCoverOracle:
 
     # -- Capability layers: snapshots and witness paths --------------------------
 
-    def save(self, path, version: int = 2) -> int:
+    def save(self, path) -> int:
         """Persist the built index to ``path`` (``Capability.SNAPSHOT``).
 
         Restore with ``repro.api.open_oracle(graph, index=path)`` — with
-        ``mmap=True`` for zero-copy loading of a v2 snapshot. Returns
-        bytes written.
+        ``mmap=True`` for zero-copy loading. Returns bytes written.
         """
         from repro.core.serialization import save_oracle
 
-        return save_oracle(self, path, version=version)
+        return save_oracle(self, path)
 
     def shortest_path(self, s: int, t: int) -> Optional[List[int]]:
         """A witness shortest path for ``query(s, t)`` (``Capability.PATHS``).

@@ -3,45 +3,37 @@
 The paper's workflow is build-once/query-often: a billion-scale
 construction that takes hours must not be repeated per process. This
 module serializes the complete oracle state — landmark set, highway
-matrix and the label store — into a single binary file in one of two
-versions, both little-endian and both readable by :func:`load_oracle`:
-
-**v1** (legacy, packed):
+matrix and the label store — into a single little-endian binary file,
+the **v2** snapshot. A 32-byte header, padded to 64 bytes:
 
     magic   4s   "RPHL"
-    version u32  = 1
+    version u32  = 2
     flags   u32      bit 0: labels use 8-bit landmark ids
     n       u64      vertices
     k       u32      landmarks
     entries u64      total label entries
-    landmarks   k * i64
-    highway     k*k * u16       (0xFFFF = unreachable)
-    offsets     (n+1) * i64
-    label_ids   entries * (u8 | u32)
-    label_dist  entries * u8
 
-**v2** (default, aligned): the same logical fields, but the 32-byte
-header is padded to 64 bytes and every array section starts on a
-64-byte boundary (zero padding in between), in the same order as v1:
+then the array sections, each starting on a 64-byte boundary (zero
+padding in between):
 
-    header      64 bytes (v1 header layout + zero padding)
     landmarks   k * i64             @ 64
-    highway     k*k * u16           @ align64(...)
+    highway     k*k * u16           @ align64(...)  (0xFFFF = unreachable)
     offsets     (n+1) * i64         @ align64(...)
     label_ids   entries * (u8|u32)  @ align64(...)
     label_dist  entries * u8        @ align64(...)
 
-Alignment is what makes the v2 snapshot *mappable*:
+Alignment is what makes the snapshot *mappable*:
 ``load_oracle(..., mmap=True)`` wires the three big label arrays
 (offsets / ids / distances) straight onto the file with
 :class:`numpy.memmap` — no copy into process RAM, near-instant startup,
 and one shared page-cache copy across every serving process on the
 machine. Only the small ``O(k)``/``O(k²)`` landmark and highway
 sections are materialized (the highway needs its ``0xFFFF → inf``
-decode). v1 files remain loadable (always copying).
+decode). The unaligned v1 layout of earlier releases is no longer
+read: :func:`load_oracle` rejects it with a :class:`ReproError`.
 
-The graph itself is *not* stored (it has its own cache format in
-:mod:`repro.graphs.io`); :func:`load_oracle` takes the graph as input
+The graph itself is *not* stored (it has its own disk format in
+:mod:`repro.graphs.disk_csr`); :func:`load_oracle` takes the graph as input
 and validates that the stored landmark set fits it. The public entry
 points sit a layer up: ``oracle.save(path)`` writes, and
 :func:`repro.api.open_oracle` (``index=``, ``mmap=``, ``dynamic=``)
@@ -64,18 +56,15 @@ from repro.core.highway import Highway
 from repro.core.labels import HighwayCoverLabelling
 from repro.core.query import HighwayCoverOracle
 from repro.errors import NotBuiltError, ReproError
+from repro.graphs.disk_csr import _fsync_directory, write_graph_disk_csr
 from repro.graphs.graph import Graph
 
 _MAGIC = b"RPHL"
-_V1 = 1
 _V2 = 2
-_SUPPORTED_VERSIONS = (_V1, _V2)
-DEFAULT_VERSION = _V2
 _FLAG_NARROW_IDS = 1
 _KNOWN_FLAGS = _FLAG_NARROW_IDS
 _UNREACHABLE_U16 = 0xFFFF
 _HEADER_STRUCT = "<IIQIQ"  # version, flags, n, k, entries (after the magic)
-_V1_HEADER_BYTES = 4 + struct.calcsize(_HEADER_STRUCT)  # 32
 _V2_HEADER_BYTES = 64
 _ALIGNMENT = 64
 
@@ -86,17 +75,10 @@ def _align(offset: int) -> int:
     return (offset + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
 
 
-def _section_offsets(version: int, n: int, k: int, entries: int, narrow: bool):
+def _section_offsets(n: int, k: int, entries: int, narrow: bool):
     """Byte offsets of (landmarks, highway, offsets, ids, dists, end)."""
     id_width = 1 if narrow else 4
     sizes = (8 * k, 2 * k * k, 8 * (n + 1), id_width * entries, entries)
-    if version == _V1:
-        cursor = _V1_HEADER_BYTES
-        starts = []
-        for size in sizes:
-            starts.append(cursor)
-            cursor += size
-        return (*starts, cursor)
     cursor = _V2_HEADER_BYTES
     starts = []
     for size in sizes:
@@ -106,30 +88,7 @@ def _section_offsets(version: int, n: int, k: int, entries: int, narrow: bool):
     return (*starts, cursor)
 
 
-def _fsync_directory(directory: Path) -> None:
-    """Flush a directory entry to disk (best effort off-POSIX).
-
-    After ``os.replace`` the *file* is durable but the *name* lives in
-    the directory; a crash before the directory block reaches disk can
-    resurrect the old entry. Platforms that cannot open directories
-    (Windows) skip this — ``os.replace`` is still atomic there.
-    """
-    flags = getattr(os, "O_DIRECTORY", None)
-    if flags is None:  # pragma: no cover - non-POSIX
-        return
-    try:
-        fd = os.open(directory, os.O_RDONLY | flags)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def save_oracle(
-    oracle: HighwayCoverOracle, path: PathLike, version: int = DEFAULT_VERSION
-) -> int:
+def save_oracle(oracle: HighwayCoverOracle, path: PathLike) -> int:
     """Write a built oracle's index to ``path``; returns bytes written.
 
     The write is **atomic and durable**: the snapshot is assembled in a
@@ -145,13 +104,9 @@ def save_oracle(
         oracle: a built oracle (any label-store backend; the snapshot is
             always the canonical vertex-major CSR).
         path: output file.
-        version: snapshot format — 2 (default, aligned/mappable) or 1
-            (legacy packed layout).
     """
     if oracle.labelling is None or oracle.highway is None:
         raise NotBuiltError("cannot save an unbuilt oracle")
-    if version not in _SUPPORTED_VERSIONS:
-        raise ReproError(f"unsupported index version {version}")
     labelling = oracle.labelling.as_vertex_major()
     highway = oracle.highway
     narrow = highway.num_landmarks <= 256
@@ -167,7 +122,7 @@ def save_oracle(
     n = labelling.num_vertices
     k = highway.num_landmarks
     entries = labelling.size()
-    sections = _section_offsets(version, n, k, entries, narrow)
+    sections = _section_offsets(n, k, entries, narrow)
 
     path = Path(path)
     # Same directory as the target so os.replace is a rename, never a
@@ -178,7 +133,7 @@ def save_oracle(
         with tmp.open("wb") as handle:
             handle.write(_MAGIC)
             handle.write(
-                struct.pack(_HEADER_STRUCT, version, flags, n, k, entries)
+                struct.pack(_HEADER_STRUCT, _V2, flags, n, k, entries)
             )
             id_dtype = "<u1" if narrow else "<u4"
             payload = (
@@ -221,11 +176,10 @@ def load_oracle(
     Args:
         graph: the graph the index was built for (validated by vertex
             count).
-        path: a v1 or v2 snapshot written by :func:`save_oracle`.
+        path: a snapshot written by :func:`save_oracle`.
         mmap: map the label arrays zero-copy with :class:`numpy.memmap`
-            instead of reading them into RAM. Requires a v2 (aligned)
-            snapshot; loads are near-instant and the pages are shared
-            across processes serving the same file.
+            instead of reading them into RAM; loads are near-instant and
+            the pages are shared across processes serving the same file.
 
     Raises:
         ReproError: on bad magic/version/flags, on a truncated or
@@ -241,8 +195,11 @@ def load_oracle(
             handle, struct.calcsize(_HEADER_STRUCT), path, "header"
         )
         version, flags, n, k, entries = struct.unpack(_HEADER_STRUCT, header)
-        if version not in _SUPPORTED_VERSIONS:
-            raise ReproError(f"{path}: unsupported index version {version}")
+        if version != _V2:
+            raise ReproError(
+                f"{path}: unsupported index version {version} (only v{_V2} "
+                f"is read; rebuild the index)"
+            )
         if flags & ~_KNOWN_FLAGS:
             raise ReproError(f"{path}: unknown flag bits 0x{flags:x}")
         narrow = bool(flags & _FLAG_NARROW_IDS)
@@ -254,12 +211,7 @@ def load_oracle(
             raise ReproError(
                 f"{path}: index built for n={n}, graph has n={graph.num_vertices}"
             )
-        if mmap and version == _V1:
-            raise ReproError(
-                f"{path}: mmap loading requires an aligned v2 snapshot; "
-                f"re-save with save_oracle(..., version=2)"
-            )
-        sections = _section_offsets(version, n, k, entries, narrow)
+        sections = _section_offsets(n, k, entries, narrow)
         actual_size = path.stat().st_size
         if actual_size != sections[-1]:
             raise ReproError(
@@ -413,9 +365,7 @@ class SnapshotSpool:
         path = Path(path)
         return path.with_suffix(".graph")
 
-    def publish(
-        self, oracle, version: int = DEFAULT_VERSION, graph: bool = False
-    ) -> Path:
+    def publish(self, oracle, graph: bool = False) -> Path:
         """Write the oracle's index as the next generation; returns its path.
 
         Always a fresh file — existing generations are immutable, so
@@ -428,18 +378,18 @@ class SnapshotSpool:
 
         Args:
             oracle: the built oracle to snapshot.
-            version: snapshot format version.
             graph: also write a ``gen-*.graph`` sidecar holding the
-                oracle's current graph (the compact binary CSR format),
-                so a crash-recovery open can reconstruct the exact
-                graph this generation's labels were built against
+                oracle's current graph (an RPDC disk CSR, see
+                :mod:`repro.graphs.disk_csr`, written atomically and
+                durably), so a crash-recovery open can reconstruct the
+                exact graph this generation's labels were built against
                 without replaying history from the base graph.
         """
         path = self.directory / f"{self.prefix}-{self._seq:06d}.hl"
         self._seq += 1
         if graph:
-            self._write_graph_sidecar(oracle.graph, self.graph_sidecar_for(path))
-        save_oracle(oracle, path, version=version)
+            write_graph_disk_csr(oracle.graph, self.graph_sidecar_for(path))
+        save_oracle(oracle, path)
         self._live.add(path)
         return path
 
@@ -466,21 +416,6 @@ class SnapshotSpool:
             )
         self._live.add(path)
         return path
-
-    def _write_graph_sidecar(self, graph, sidecar: Path) -> None:
-        """Atomically write the graph next to its generation file."""
-        from repro.graphs.io import write_binary
-
-        tmp = sidecar.parent / f"{sidecar.name}.{os.getpid()}.tmp"
-        try:
-            write_binary(graph, tmp)
-            with tmp.open("rb") as handle:
-                os.fsync(handle.fileno())
-            os.replace(tmp, sidecar)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        _fsync_directory(sidecar.parent)
 
     def retire(self, path: PathLike) -> None:
         """Delete a generation no process maps any more (missing is fine).

@@ -82,7 +82,7 @@ class KernelError(ReproError):
 class KernelUnavailableError(KernelError):
     """An explicitly requested kernel backend cannot run here.
 
-    For example ``kernel="numba"`` on a machine without numba installed.
+    For example ``kernel="cext"`` on a machine without a C compiler.
     Auto-detection (``kernel=None``) never raises this; it silently
     falls back to the best available backend instead.
     """

@@ -155,7 +155,13 @@ def read_disk_csr_header(path: PathLike) -> DiskCSRHeader:
 
 
 def _fsync_directory(directory: Path) -> None:
-    """Flush a directory entry to disk (best effort off-POSIX)."""
+    """Flush a directory entry to disk (best effort off-POSIX).
+
+    After ``os.replace`` the *file* is durable but the *name* lives in
+    the directory; a crash before the directory block reaches disk can
+    resurrect the old entry. Platforms that cannot open directories
+    (Windows) skip this — ``os.replace`` is still atomic there.
+    """
     flags = getattr(os, "O_DIRECTORY", None)
     if flags is None:  # pragma: no cover - non-POSIX
         return
@@ -266,8 +272,10 @@ def write_graph_disk_csr(
 ) -> int:
     """Write an in-memory :class:`Graph` as an RPDC file; returns bytes.
 
-    Convenience wrapper over :func:`publish_disk_csr` used by tests,
-    fixtures and the format round-trip in ``tools/gauntlet.py``.
+    Convenience wrapper over :func:`publish_disk_csr` used for the
+    ``gen-*.graph`` sidecars of
+    :class:`~repro.core.serialization.SnapshotSpool`, tests, fixtures
+    and the format round-trip in ``tools/gauntlet.py``.
     """
     csr = graph.csr
     return publish_disk_csr(

@@ -1,23 +1,19 @@
 """Edge-list IO: the formats the paper's datasets ship in.
 
 Supports the whitespace-separated edge-list format used by SNAP / KONECT /
-LAW (one ``u v`` pair per line, ``#`` or ``%`` comments), plus a compact
-binary format for caching generated surrogates between runs.
+LAW (one ``u v`` pair per line, ``#`` or ``%`` comments). The binary
+on-disk graph format is the RPDC disk CSR of :mod:`repro.graphs.disk_csr`.
 """
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
-
-_MAGIC = b"RPRG"
-_VERSION = 1
 
 PathLike = Union[str, Path]
 
@@ -64,38 +60,3 @@ def write_edge_list(graph: Graph, path: PathLike, header: bool = True) -> None:
             handle.write(f"# {graph.name}: n={graph.num_vertices} m={graph.num_edges}\n")
         for u, v in graph.edges():
             handle.write(f"{u} {v}\n")
-
-
-def write_binary(graph: Graph, path: PathLike) -> None:
-    """Write the CSR arrays in a compact binary cache format."""
-    path = Path(path)
-    csr = graph.csr
-    with path.open("wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<II", _VERSION, 0))
-        name_bytes = graph.name.encode("utf-8")
-        handle.write(struct.pack("<I", len(name_bytes)))
-        handle.write(name_bytes)
-        handle.write(struct.pack("<QQ", csr.num_vertices, len(csr.indices)))
-        handle.write(csr.indptr.astype("<i8").tobytes())
-        handle.write(csr.indices.astype("<i4").tobytes())
-
-
-def read_binary(path: PathLike) -> Graph:
-    """Read a graph previously written by :func:`write_binary`."""
-    path = Path(path)
-    with path.open("rb") as handle:
-        if handle.read(4) != _MAGIC:
-            raise GraphError(f"{path}: not a repro binary graph file")
-        version, _ = struct.unpack("<II", handle.read(8))
-        if version != _VERSION:
-            raise GraphError(f"{path}: unsupported version {version}")
-        (name_len,) = struct.unpack("<I", handle.read(4))
-        name = handle.read(name_len).decode("utf-8")
-        n, nnz = struct.unpack("<QQ", handle.read(16))
-        indptr = np.frombuffer(handle.read(8 * (n + 1)), dtype="<i8")
-        indices = np.frombuffer(handle.read(4 * nnz), dtype="<i4")
-    from repro.graphs.csr import CSRAdjacency
-
-    csr = CSRAdjacency(indptr=indptr.astype(np.int64), indices=indices.astype(np.int32))
-    return Graph.from_csr(csr, name=name)

@@ -1,7 +1,7 @@
 """Thread-parallel query execution over the no-GIL kernels.
 
-PR 7's compiled kernel backends (``cext``, ``numba``) drop the GIL for
-every bounded search, which makes intra-process thread parallelism
+The compiled ``cext`` kernel backend drops the GIL for every bounded
+search, which makes intra-process thread parallelism
 profitable for the first time: several threads can expand BFS frontiers
 on different CPU cores *simultaneously*, against one shared read-only
 label store — the shared-nothing-reader pattern, with the "nothing"

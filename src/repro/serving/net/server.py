@@ -60,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -106,7 +107,7 @@ class SnapshotRollover:
     :class:`~repro.core.serialization.SnapshotSpool`: a writer process
     repairs its index and calls ``spool.publish(oracle, graph=True)``,
     which atomically lands ``gen-<seq>.hl`` (plus a ``gen-<seq>.graph``
-    sidecar of the exact graph the labels were built against). This
+    RPDC sidecar of the exact graph the labels were built against). This
     class is the *reader* side: :meth:`scan` finds the newest complete
     generation, and :meth:`load` turns it into a ready backend — a
     zero-copy mmap single-process oracle by default, or a fresh
@@ -173,21 +174,22 @@ class SnapshotRollover:
     def graph_for(self, path):
         """The graph generation ``path`` was built against.
 
-        Prefers the atomic ``.graph`` sidecar written by
-        ``SnapshotSpool.publish(graph=True)`` — which tracks the
+        Prefers the atomic ``.graph`` sidecar (an RPDC disk CSR) written
+        by ``SnapshotSpool.publish(graph=True)`` — which tracks the
         writer's dynamic updates — and falls back to the static
         ``graph`` this watcher was constructed with.
 
         Raises:
             ReproError: when neither is available.
+            GraphError: when the sidecar is not a valid disk CSR.
         """
         from repro.core.serialization import SnapshotSpool
 
         sidecar = SnapshotSpool.graph_sidecar_for(path)
         if sidecar.is_file():
-            from repro.graphs.io import read_binary
+            from repro.graphs.disk_csr import open_disk_csr
 
-            return read_binary(sidecar)
+            return open_disk_csr(sidecar, mmap=False)
         if self.graph is None:
             raise ReproError(
                 f"{path}: no .graph sidecar and no fallback graph configured"
@@ -455,20 +457,28 @@ class NetServer:
 
     def run_forever(self) -> None:
         """Blocking entry point (the CLI's ``repro serve``): serve until
-        interrupted (Ctrl-C)."""
+        SIGINT (Ctrl-C), then :meth:`stop`. Call from the main thread.
+
+        The handler goes through ``loop.add_signal_handler``, which also
+        arms the loop's signal wakeup fd: a SIGINT the kernel delivers to
+        a worker-pool thread still wakes the idle main thread. A second
+        SIGINT during :meth:`stop` is absorbed; closing the loop removes
+        the handler.
+        """
 
         async def _main() -> None:
+            interrupted = asyncio.Event()
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGINT, interrupted.set
+            )
             host, port = await self.start()
             print(f"serving on {host}:{port} (generation {self._generation})")
             try:
-                await asyncio.Event().wait()
+                await interrupted.wait()
             finally:
                 await self.stop()
 
-        try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            pass
+        asyncio.run(_main())
 
     def serve_in_thread(self) -> Tuple[str, int]:
         """Start the server on a dedicated event-loop thread.

@@ -26,7 +26,7 @@ top of the capability-based oracle API (:mod:`repro.api`):
 * **Thread-parallel execution.** Each entry drains its micro-batches
   (and bulk :meth:`~DistanceService.query_many` calls) through a
   :class:`~repro.serving.QueryExecutor`: when the hosted oracle's
-  kernel releases the GIL (``cext`` / ``numba``), the batch splits
+  kernel releases the GIL (``cext``), the batch splits
   into chunks answered on a pool of ``threads`` worker threads —
   byte-identical, reassembled in order. ``threads=None`` auto-sizes
   the pool (``REPRO_THREADS``, else one thread per CPU iff the kernel
@@ -475,7 +475,7 @@ class DistanceService:
 
     # -- Snapshots -------------------------------------------------------------
 
-    def save(self, name: str, path, version: int = 2) -> int:
+    def save(self, name: str, path) -> int:
         """Persist graph ``name``'s index (requires ``Capability.SNAPSHOT``).
 
         Runs under the reader gate, so the snapshot never interleaves
@@ -489,7 +489,7 @@ class DistanceService:
             )
         entry._begin_read()
         try:
-            return entry.oracle.save(path, version=version)
+            return entry.oracle.save(path)
         finally:
             entry._end_read()
 

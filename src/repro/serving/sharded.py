@@ -915,7 +915,7 @@ class ShardedDistanceService:
 
     # -- Remaining capability layers (delegated to the parent's oracle) ------
 
-    def save(self, path, version: int = 2) -> int:
+    def save(self, path) -> int:
         """Persist the current index (``Capability.SNAPSHOT``); returns bytes.
 
         Serialized against updates, so the snapshot is always a
@@ -923,7 +923,7 @@ class ShardedDistanceService:
         """
         self._require_started()
         with self._update_lock:
-            return self._writer.save(path, version=version)
+            return self._writer.save(path)
 
     def shortest_path(self, s: int, t: int) -> Optional[List[int]]:
         """A witness path for ``query(s, t)`` (``Capability.PATHS``).

@@ -272,22 +272,7 @@ class TestFactories:
 
 
 class TestDeprecationShim:
-    def test_old_import_path_warns_and_aliases(self):
-        import repro.baselines.interface as legacy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = legacy.DistanceOracle
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert shimmed is DistanceOracle
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.baselines.interface as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.does_not_exist
+    """The protocol's package-level re-export imports without warnings."""
 
     def test_baselines_package_reexport_is_warning_free(self):
         with warnings.catch_warnings():

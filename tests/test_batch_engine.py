@@ -9,7 +9,6 @@ disconnected graphs, and landmark counts from k=1 to k=n.
 import numpy as np
 import pytest
 
-from repro.core.batch import batch_query, batch_upper_bounds, coverage_ratio
 from repro.core.batch_engine import BatchQueryEngine, as_pair_array
 from repro.core.query import HighwayCoverOracle
 from repro.errors import VertexError
@@ -85,7 +84,7 @@ class TestRandomizedCrossValidation:
         graph = make_graph()
         oracle = HighwayCoverOracle(num_landmarks=5).build(graph)
         pairs = exercise_pairs(graph, oracle, seed=23)
-        bounds = batch_upper_bounds(oracle, pairs)
+        bounds = oracle.batch_engine().upper_bounds(pairs)
         for i, (s, t) in enumerate(pairs):
             assert bounds[i] == oracle.upper_bound(int(s), int(t))
 
@@ -119,7 +118,7 @@ class TestEdgeCases:
         assert len(oracle.query_many(empty)) == 0
         distances, covered = oracle.query_many(empty, return_coverage=True)
         assert len(distances) == 0 and len(covered) == 0
-        assert coverage_ratio(oracle, empty) == 0.0
+        assert oracle.batch_engine().coverage_ratio(empty) == 0.0
         # Empty float arrays are accepted too (np.empty defaults to float).
         assert len(oracle.query_many(np.empty((0, 2)))) == 0
 
@@ -163,7 +162,8 @@ class TestEdgeCases:
         expected = np.mean(
             [oracle.is_covered(int(s), int(t)) for s, t in pairs]
         )
-        assert coverage_ratio(oracle, pairs) == pytest.approx(float(expected))
+        ratio = oracle.batch_engine().coverage_ratio(pairs)
+        assert ratio == pytest.approx(float(expected))
 
 
 class TestValidation:
@@ -183,21 +183,27 @@ class TestValidation:
         ids=["flat", "k3", "3d"],
     )
     def test_bad_shapes_rejected_everywhere(self, oracle, bad):
-        for fn in (batch_query, batch_upper_bounds, coverage_ratio):
+        engine = oracle.batch_engine()
+        for fn in (
+            engine.query_many, engine.upper_bounds, engine.coverage_ratio
+        ):
             with pytest.raises(ValueError):
-                fn(oracle, bad)
+                fn(bad)
 
     def test_float_pairs_rejected(self, oracle):
         bad = np.asarray([[0.5, 2.0]])
-        for fn in (batch_query, batch_upper_bounds, coverage_ratio):
+        engine = oracle.batch_engine()
+        for fn in (
+            engine.query_many, engine.upper_bounds, engine.coverage_ratio
+        ):
             with pytest.raises(ValueError):
-                fn(oracle, bad)
+                fn(bad)
 
     def test_out_of_range_vertices_rejected(self, oracle):
         with pytest.raises(VertexError):
-            batch_upper_bounds(oracle, np.asarray([[0, 60]]))
+            oracle.batch_engine().upper_bounds(np.asarray([[0, 60]]))
         with pytest.raises(VertexError):
-            batch_query(oracle, np.asarray([[-1, 2]]))
+            oracle.batch_engine().query_many(np.asarray([[-1, 2]]))
 
     def test_as_pair_array_normalizes(self):
         out = as_pair_array([(0, 1), (2, 3)], num_vertices=4)

@@ -74,17 +74,19 @@ class TestBuildAndQuery:
         )
 
     def test_store_and_format_version_flags(self, edgelist, tmp_path, capsys):
-        v1 = tmp_path / "index.v1.hl"
-        v2 = tmp_path / "index.v2.hl"
+        """``--store`` picks the in-memory label store; ``--format-version``
+        no longer exists (there is one snapshot layout)."""
+        index = tmp_path / "index.hl"
         args = ["build", str(edgelist), "-k", "5", "--store", "landmark"]
-        assert main(args + ["-o", str(v2)]) == 0
-        assert main(args + ["-o", str(v1), "--format-version", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "store=landmark" in out
-        assert "(v1)" in out and "(v2)" in out
-        # Both versions answer queries; only v2 supports --mmap.
-        assert main(["query", str(edgelist), str(v1), "0", "100"]) == 0
-        assert main(["query", str(edgelist), str(v2), "0", "100", "--mmap"]) == 0
+        assert main(args + ["-o", str(index)]) == 0
+        assert "store=landmark" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["-o", str(index), "--format-version", "2"])
+        assert exc.value.code == 2
+        assert "--format-version" in capsys.readouterr().err
+        # The snapshot answers identically copied and mapped.
+        assert main(["query", str(edgelist), str(index), "0", "100"]) == 0
+        assert main(["query", str(edgelist), str(index), "0", "100", "--mmap"]) == 0
         plain = capsys.readouterr().out.splitlines()
         assert plain[0] == plain[1]
 

@@ -42,7 +42,6 @@ AUDITED_MODULES = [
     "src/repro/core/labels.py",
     "src/repro/core/kernels/__init__.py",
     "src/repro/core/kernels/interface.py",
-    "src/repro/core/kernels/loops.py",
     "src/repro/core/serialization.py",
     "src/repro/core/wal.py",
     "src/repro/core/fsck.py",

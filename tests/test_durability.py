@@ -25,7 +25,7 @@ from repro.core.serialization import SnapshotSpool, load_oracle, save_oracle
 from repro.core.wal import scan_wal
 from repro.errors import ReproError
 from repro.graphs.generators import barabasi_albert_graph
-from repro.graphs.io import read_binary
+from repro.graphs.disk_csr import open_disk_csr
 from repro.graphs.sampling import sample_vertex_pairs
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -128,7 +128,7 @@ class TestSnapshotSpoolDurability:
         path = spool.publish(oracle, graph=True)
         sidecar = SnapshotSpool.graph_sidecar_for(path)
         assert sidecar.exists()
-        restored = read_binary(sidecar)
+        restored = open_disk_csr(sidecar, mmap=False)
         assert restored.num_vertices == ba_graph.num_vertices
         assert sorted(restored.edges()) == sorted(ba_graph.edges())
         spool.retire(path)
@@ -344,7 +344,7 @@ class TestShardedServiceRecovery:
 
         # Restart against the published generation's graph + the WAL.
         restarted = open_oracle(
-            read_binary(sidecar),
+            open_disk_csr(sidecar),
             shards=2,
             index=latest,
             wal=wal_path,

@@ -14,6 +14,7 @@ from repro.core.query import HighwayCoverOracle
 from repro.core.serialization import (
     _HEADER_STRUCT,
     _MAGIC,
+    SnapshotSpool,
     _section_offsets,
     load_oracle,
     save_oracle,
@@ -37,10 +38,10 @@ def snapshot(tmp_path_factory):
     path = tmp_path_factory.mktemp("fsck") / "index.hl"
     save_oracle(oracle, path)
     header_bytes = 4 + struct.calcsize(_HEADER_STRUCT)
-    version, flags, n, k, entries = struct.unpack(
+    _, flags, n, k, entries = struct.unpack(
         _HEADER_STRUCT, path.read_bytes()[4:header_bytes]
     )
-    sections = _section_offsets(version, n, k, entries, bool(flags & 1))
+    sections = _section_offsets(n, k, entries, bool(flags & 1))
     return graph, path, sections
 
 
@@ -450,6 +451,23 @@ class TestFsckCli:
         result = self._run(index, tmp_path / "wal.log")
         assert result.returncode == 0, result.stderr
         assert result.stdout.count("OK") == 2
+
+    def test_spool_with_graph_sidecars_is_clean(self, tmp_path):
+        """Every file a ``graph=True`` spool publishes passes fsck — the
+        ``gen-*.graph`` sidecars are disk CSRs fsck knows how to check."""
+        graph = barabasi_albert_graph(60, 2, seed=34)
+        oracle = DynamicHighwayCoverOracle(num_landmarks=4).build(graph)
+        spool = SnapshotSpool(tmp_path / "spool")
+        spool.publish(oracle, graph=True)
+        non_neighbour = next(w for w in range(1, 60) if not graph.has_edge(0, w))
+        oracle.insert_edge(0, non_neighbour)
+        spool.publish(oracle, graph=True)
+        files = sorted(spool.directory.iterdir())
+        assert [p.suffix for p in files] == [".graph", ".hl"] * 2
+        result = self._run(*files)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.count("OK (disk-csr") == 2
+        assert result.stdout.count("OK (snapshot") == 2
 
     def test_exit_one_on_corruption(self, tmp_path):
         graph = barabasi_albert_graph(60, 2, seed=33)

@@ -1,11 +1,12 @@
-"""Unit tests for edge-list and binary graph IO."""
+"""Unit tests for edge-list and binary (RPDC disk CSR) graph IO."""
 
 import pytest
 
 from repro.errors import GraphError
 from repro.graphs.generators import barabasi_albert_graph
 from repro.graphs.graph import Graph
-from repro.graphs.io import read_binary, read_edge_list, write_binary, write_edge_list
+from repro.graphs.disk_csr import open_disk_csr, write_graph_disk_csr
+from repro.graphs.io import read_edge_list, write_edge_list
 
 
 class TestEdgeListRoundTrip:
@@ -63,22 +64,25 @@ class TestEdgeListRoundTrip:
 
 
 class TestBinaryRoundTrip:
+    """The copying read a spool's ``gen-*.graph`` sidecar goes through."""
+
     def test_round_trip_preserves_graph_and_name(self, tmp_path):
         g = barabasi_albert_graph(80, 3, seed=2, name="binary-test")
-        path = tmp_path / "g.bin"
-        write_binary(g, path)
-        g2 = read_binary(path)
+        path = tmp_path / "g.graph"
+        write_graph_disk_csr(g, path)
+        g2 = open_disk_csr(path, mmap=False)
         assert g2.name == "binary-test"
         assert g == g2
 
     def test_empty_graph(self, tmp_path):
         g = Graph(0, [], name="empty")
-        path = tmp_path / "g.bin"
-        write_binary(g, path)
-        assert read_binary(path).num_vertices == 0
+        path = tmp_path / "g.graph"
+        write_graph_disk_csr(g, path)
+        assert open_disk_csr(path, mmap=False).num_vertices == 0
 
     def test_bad_magic_raises(self, tmp_path):
-        path = tmp_path / "g.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(GraphError):
-            read_binary(path)
+        """A sidecar in the retired RPRG layout is refused, not misread."""
+        path = tmp_path / "g.graph"
+        path.write_bytes(b"RPRG" + b"\x00" * 60)
+        with pytest.raises(GraphError, match="not a repro disk-CSR"):
+            open_disk_csr(path, mmap=False)

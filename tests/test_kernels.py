@@ -110,34 +110,49 @@ def _counting_oracle(graph, **options):
 
 
 class TestRegistry:
-    def test_numpy_and_pyloop_always_available(self):
+    def test_numpy_always_available(self):
         names = available_kernels()
-        assert "numpy" in names and "pyloop" in names
+        assert "numpy" in names
+        assert set(names) <= {"numpy", "cext"}
 
     def test_backends_are_cached_singletons(self):
         assert get_kernel("numpy") is get_kernel("numpy")
-        assert get_kernel("pyloop") is get_kernel("pyloop")
 
     def test_unknown_name_raises_kernel_error(self):
         with pytest.raises(KernelError, match="unknown kernel"):
             get_kernel("fortran")
 
-    def test_unavailable_backend_raises(self):
-        from repro.core.kernels.jit import HAVE_NUMBA
+    @pytest.mark.parametrize("name", ["numba", "pyloop"])
+    def test_removed_backends_are_unknown(self, name):
+        with pytest.raises(KernelError, match="unknown kernel"):
+            get_kernel(name)
 
-        if HAVE_NUMBA:
-            pytest.skip("numba installed here; unavailability not testable")
-        with pytest.raises(KernelUnavailableError):
-            get_kernel("numba")
+    def test_unavailable_backend_raises(self, monkeypatch, tmp_path):
+        """Without a compiler, an explicit ``cext`` request raises and
+        auto-detection falls back to ``numpy``."""
+        from repro.core.kernels import cext
 
-    def test_auto_detection_never_picks_pyloop(self, monkeypatch):
+        monkeypatch.setattr(cext, "_find_compiler", lambda: None)
+        monkeypatch.setattr(
+            cext, "_cache_path", lambda: tmp_path / "librepro_kernels.so"
+        )
+        monkeypatch.setattr(kernel_registry, "_instances", {})
+        monkeypatch.setattr(kernel_registry, "_auto_default", None)
         monkeypatch.delenv(kernel_registry.ENV_VAR, raising=False)
-        assert "pyloop" not in AUTO_ORDER
-        assert get_kernel().name in AUTO_ORDER
+        with pytest.raises(KernelUnavailableError, match="compiler"):
+            get_kernel("cext")
+        assert get_kernel().name == "numpy"
+        assert available_kernels() == ["numpy"]
+
+    def test_auto_detection_order_is_cext_then_numpy(self, monkeypatch):
+        monkeypatch.delenv(kernel_registry.ENV_VAR, raising=False)
+        assert AUTO_ORDER == ("cext", "numpy")
+        expected = "cext" if "cext" in available_kernels() else "numpy"
+        assert get_kernel().name == expected
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernel_registry.ENV_VAR, "pyloop")
-        assert get_kernel().name == "pyloop"
+        monkeypatch.setenv(kernel_registry.ENV_VAR, "numpy")
+        assert get_kernel().name == "numpy"
 
     def test_env_var_is_an_explicit_request(self, monkeypatch):
         monkeypatch.setenv(kernel_registry.ENV_VAR, "no-such-kernel")
@@ -153,9 +168,7 @@ class TestRegistry:
     def test_gil_and_compilation_metadata(self):
         expectations = {
             "numpy": (False, False),
-            "pyloop": (False, False),
             "cext": (True, True),
-            "numba": (True, True),
         }
         for name in available_kernels():
             backend = get_kernel(name)
@@ -171,9 +184,9 @@ class TestRegistry:
         oracle = HighwayCoverOracle(num_landmarks=4).build(ba_graph)
         with pytest.raises(KernelError):
             oracle.set_kernel("fortran")
-        oracle.set_kernel("pyloop")
-        assert oracle.kernel == "pyloop"
-        assert oracle.kernel_backend.name == "pyloop"
+        oracle.set_kernel("numpy")
+        assert oracle.kernel == "numpy"
+        assert oracle.kernel_backend.name == "numpy"
         oracle.set_kernel(None)
         assert oracle.kernel is None
 

@@ -18,9 +18,14 @@ The bars:
 
 from __future__ import annotations
 
+import os
+import select
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,26 @@ from repro.serving.net import (
 )
 from repro.serving.net import wire
 from repro.serving.net.wire import FrameDecoder, Op, Status
+
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: A ``run_forever`` server whose helper thread, once told the server is
+#: listening (a line on stdin), sends SIGINT to *itself* — not to the
+#: main thread that sits idle in the event loop's poll.
+_SIGINT_CHILD = """
+import signal, sys, threading
+from repro.api import build_oracle
+from repro.graphs.generators import barabasi_albert_graph
+from repro.serving.net import NetServer
+
+def interrupt_from_this_thread():
+    sys.stdin.readline()
+    signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+
+threading.Thread(target=interrupt_from_this_thread, daemon=True).start()
+oracle = build_oracle(barabasi_albert_graph(60, 2, seed=1), "hl", num_landmarks=4)
+NetServer(oracle).run_forever()
+"""
 
 
 @pytest.fixture(scope="module")
@@ -625,3 +650,28 @@ class TestServerLifecycle:
         server.serve_in_thread()
         server.shutdown()
         server.shutdown()  # no-op, no error
+
+    def test_sigint_on_another_thread_stops_run_forever(self):
+        """SIGINT delivered to a non-main thread still wakes the idle
+        loop, so ``run_forever`` stops and the process exits 0."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (REPO_SRC, env.get("PYTHONPATH")))
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _SIGINT_CHILD],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            ready, _, _ = select.select([child.stdout], [], [], 60)
+            assert ready, "server never started listening"
+            line = child.stdout.readline()
+            assert line.startswith("serving on"), line + child.stderr.read()
+            child.stdin.write("\n")
+            child.stdin.flush()
+            assert child.wait(timeout=5) == 0, child.stderr.read()
+        finally:
+            if child.poll() is None:
+                child.kill()
+            child.communicate()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import batch_query
 from repro.core.dynamic import DynamicHighwayCoverOracle
 from repro.core.paths import shortest_path
 from repro.core.query import HighwayCoverOracle
@@ -92,7 +91,9 @@ def test_batch_query_equals_scalar(graph_landmarks):
     oracle = HighwayCoverOracle(landmarks=landmarks).build(graph)
     rng = np.random.default_rng(1)
     pairs = rng.integers(0, graph.num_vertices, size=(12, 2))
-    distances, covered = batch_query(oracle, pairs, return_coverage=True)
+    distances, covered = oracle.batch_engine().query_many(
+        pairs, return_coverage=True
+    )
     for i, (s, t) in enumerate(pairs):
         assert distances[i] == oracle.query(int(s), int(t))
         assert covered[i] == oracle.is_covered(int(s), int(t))

@@ -47,30 +47,39 @@ class TestRoundTrip:
         assert loaded.query(0, 2) == 2.0
 
 
-class TestVersionsAndMmap:
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_round_trip_both_versions(self, ba_graph, tmp_path, version):
-        oracle = HighwayCoverOracle(num_landmarks=6).build(ba_graph)
-        path = tmp_path / "index.hl"
-        save_oracle(oracle, path, version=version)
-        loaded = load_oracle(ba_graph, path)
-        assert loaded.labelling == oracle.labelling
-        assert np.array_equal(loaded.highway.matrix, oracle.highway.matrix)
+def _write_v1_snapshot(oracle, path):
+    """Write ``oracle`` in the retired v1 layout: the bare 32-byte header
+    with version 1, then the v2 sections packed back to back."""
+    from repro.core.serialization import _HEADER_STRUCT, _section_offsets
 
+    save_oracle(oracle, path)
+    blob = path.read_bytes()
+    _, flags, n, k, entries = struct.unpack(
+        _HEADER_STRUCT, blob[4 : 4 + struct.calcsize(_HEADER_STRUCT)]
+    )
+    id_width = 1 if flags & 1 else 4
+    sizes = (8 * k, 2 * k * k, 8 * (n + 1), id_width * entries, entries)
+    starts = _section_offsets(n, k, entries, bool(flags & 1))
+    packed = b"".join(blob[at : at + size] for at, size in zip(starts, sizes))
+    header = struct.pack(_HEADER_STRUCT, 1, flags, n, k, entries)
+    path.write_bytes(blob[:4] + header + packed)
+
+
+class TestVersionsAndMmap:
     def test_v2_sections_are_aligned(self, ba_graph, tmp_path):
         from repro.core.serialization import _section_offsets
 
         oracle = HighwayCoverOracle(num_landmarks=6).build(ba_graph)
         labelling = oracle.labelling.as_vertex_major()
         sections = _section_offsets(
-            2, labelling.num_vertices, 6, labelling.size(), narrow=True
+            labelling.num_vertices, 6, labelling.size(), narrow=True
         )
         assert all(start % 64 == 0 for start in sections[:-1])
 
     def test_mmap_load_is_zero_copy_and_query_correct(self, ba_graph, tmp_path):
         oracle = HighwayCoverOracle(num_landmarks=8).build(ba_graph)
         path = tmp_path / "index.hl"
-        save_oracle(oracle, path, version=2)
+        save_oracle(oracle, path)
         mapped = load_oracle(ba_graph, path, mmap=True)
         labelling = mapped.labelling
         assert isinstance(labelling.offsets, np.memmap)
@@ -95,7 +104,7 @@ class TestVersionsAndMmap:
         g = path_graph(256)
         oracle = HighwayCoverOracle(landmarks=[0]).build(g)
         path = tmp_path / "index.hl"
-        save_oracle(oracle, path, version=2)
+        save_oracle(oracle, path)
         mapped = load_oracle(g, path, mmap=True)
         assert mapped.upper_bound(100, 250) == oracle.upper_bound(100, 250)
         assert mapped.query(100, 250) == 150.0
@@ -105,8 +114,8 @@ class TestVersionsAndMmap:
     def test_mmap_requires_v2(self, ba_graph, tmp_path):
         oracle = HighwayCoverOracle(num_landmarks=4).build(ba_graph)
         path = tmp_path / "index.hl"
-        save_oracle(oracle, path, version=1)
-        with pytest.raises(ReproError, match="v2"):
+        _write_v1_snapshot(oracle, path)
+        with pytest.raises(ReproError, match="version 1"):
             load_oracle(ba_graph, path, mmap=True)
 
     def test_landmark_store_oracle_saves(self, ba_graph, tmp_path):
@@ -136,9 +145,33 @@ class TestValidation:
             load_oracle(other, path)
 
     def test_unsupported_save_version_rejected(self, ba_graph, tmp_path):
+        """No save entry point takes a format version any more."""
+        from repro.core.serialization import SnapshotSpool
+
         oracle = HighwayCoverOracle(num_landmarks=4).build(ba_graph)
-        with pytest.raises(ReproError, match="version"):
-            save_oracle(oracle, tmp_path / "x.hl", version=3)
+        spool = SnapshotSpool(tmp_path / "spool")
+        for save in (
+            lambda **kw: save_oracle(oracle, tmp_path / "x.hl", **kw),
+            lambda **kw: oracle.save(tmp_path / "x.hl", **kw),
+            lambda **kw: spool.publish(oracle, **kw),
+        ):
+            with pytest.raises(TypeError, match="version"):
+                save(version=2)
+        assert not (tmp_path / "x.hl").exists()
+        assert spool.generations() == []
+
+    def test_v1_snapshot_refused_by_load_and_fsck(self, ba_graph, tmp_path, capsys):
+        """A v1 header is a typed load error and an fsck ``bad-version``."""
+        from repro.cli import main
+
+        oracle = HighwayCoverOracle(num_landmarks=4).build(ba_graph)
+        path = tmp_path / "index.hl"
+        _write_v1_snapshot(oracle, path)
+        with pytest.raises(ReproError, match="unsupported index version 1"):
+            load_oracle(ba_graph, path)
+        capsys.readouterr()
+        assert main(["fsck", str(path)]) == 1
+        assert "[bad-version]" in capsys.readouterr().err
 
     def test_unsupported_load_version_rejected(self, ba_graph, tmp_path):
         oracle = HighwayCoverOracle(num_landmarks=4).build(ba_graph)
@@ -183,9 +216,9 @@ class TestValidation:
         oracle = HighwayCoverOracle(num_landmarks=4).build(ba_graph)
         labelling = oracle.labelling.as_vertex_major()
         path = tmp_path / "index.hl"
-        save_oracle(oracle, path, version=2)
+        save_oracle(oracle, path)
         sections = _section_offsets(
-            2, labelling.num_vertices, 4, labelling.size(), narrow=True
+            labelling.num_vertices, 4, labelling.size(), narrow=True
         )
         blob = bytearray(path.read_bytes())
         # Corrupt the final offset so offsets[-1] != entries.
@@ -203,9 +236,9 @@ class TestValidation:
         oracle = HighwayCoverOracle(num_landmarks=4).build(ba_graph)
         labelling = oracle.labelling.as_vertex_major()
         path = tmp_path / "index.hl"
-        save_oracle(oracle, path, version=2)
+        save_oracle(oracle, path)
         sections = _section_offsets(
-            2, labelling.num_vertices, 4, labelling.size(), narrow=True
+            labelling.num_vertices, 4, labelling.size(), narrow=True
         )
         blob = bytearray(path.read_bytes())
         # Corrupt an interior offset (endpoints stay valid).

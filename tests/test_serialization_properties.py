@@ -4,9 +4,8 @@ Hypothesis draws the *shape* of a synthetic oracle — landmark count
 (narrow 8-bit ids vs wide 32-bit ids), extra vertices, label density,
 unreachable-pair probability and a numpy seed — and numpy generates the
 bulk arrays, which keeps example generation fast while still exploring
-the corners the satellite task names: v1↔v2 round trips, narrow/wide
-landmark ids, unreachable highway pairs (the 0xFFFF sentinel), empty
-labellings, and disconnected graphs.
+the corners that matter: narrow/wide landmark ids, unreachable highway
+pairs (the 0xFFFF sentinel), empty labellings, and disconnected graphs.
 """
 
 import numpy as np
@@ -87,49 +86,31 @@ oracle_shapes = st.tuples(
 
 class TestRoundTripProperties:
     @settings(max_examples=30, deadline=None)
-    @given(shape=oracle_shapes, version=st.sampled_from([1, 2]))
-    def test_save_load_round_trip(self, tmp_path_factory, shape, version):
+    @given(shape=oracle_shapes)
+    def test_save_load_round_trip(self, tmp_path_factory, shape):
         graph, oracle = _synthetic_oracle(*shape)
         path = tmp_path_factory.mktemp("ser") / "index.hl"
-        save_oracle(oracle, path, version=version)
+        save_oracle(oracle, path)
         _assert_state_equal(load_oracle(graph, path), oracle)
-
-    @settings(max_examples=20, deadline=None)
-    @given(shape=oracle_shapes)
-    def test_v1_v2_cross_version_round_trip(self, tmp_path_factory, shape):
-        """v1 → load → v2 → load preserves every field, and vice versa."""
-        graph, oracle = _synthetic_oracle(*shape)
-        tmp = tmp_path_factory.mktemp("ser")
-        first, second = tmp / "a.hl", tmp / "b.hl"
-        save_oracle(oracle, first, version=1)
-        intermediate = load_oracle(graph, first)
-        save_oracle(intermediate, second, version=2)
-        _assert_state_equal(load_oracle(graph, second), oracle)
-        save_oracle(intermediate, second, version=1)
-        _assert_state_equal(load_oracle(graph, second), oracle)
 
     @settings(max_examples=20, deadline=None)
     @given(shape=oracle_shapes)
     def test_mmap_load_matches_copy_load(self, tmp_path_factory, shape):
         graph, oracle = _synthetic_oracle(*shape)
         path = tmp_path_factory.mktemp("ser") / "index.hl"
-        save_oracle(oracle, path, version=2)
+        save_oracle(oracle, path)
         mapped = load_oracle(graph, path, mmap=True)
         _assert_state_equal(mapped, oracle)
         assert isinstance(mapped.labelling.offsets, np.memmap)
 
     @settings(max_examples=20, deadline=None)
-    @given(
-        shape=oracle_shapes,
-        version=st.sampled_from([1, 2]),
-        cut=st.floats(0.0, 1.0),
-    )
+    @given(shape=oracle_shapes, cut=st.floats(0.0, 1.0))
     def test_any_truncation_is_a_clear_error(
-        self, tmp_path_factory, shape, version, cut
+        self, tmp_path_factory, shape, cut
     ):
         graph, oracle = _synthetic_oracle(*shape)
         path = tmp_path_factory.mktemp("ser") / "index.hl"
-        size = save_oracle(oracle, path, version=version)
+        size = save_oracle(oracle, path)
         keep = min(int(size * cut), size - 1)
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ReproError):
@@ -137,15 +118,14 @@ class TestRoundTripProperties:
 
 
 class TestRealGraphs:
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_disconnected_graph_round_trip(self, tmp_path, version):
+    def test_disconnected_graph_round_trip(self, tmp_path):
         graph = HARNESS_GRAPHS["disconnected"]()
         oracle = HighwayCoverOracle(num_landmarks=6).build(graph)
         assert np.isinf(oracle.highway.matrix).any(), (
             "disconnected fixture should exercise the 0xFFFF sentinel"
         )
         path = tmp_path / "index.hl"
-        save_oracle(oracle, path, version=version)
+        save_oracle(oracle, path)
         loaded = load_oracle(graph, path)
         _assert_state_equal(loaded, oracle)
         rng = np.random.default_rng(3)

@@ -70,7 +70,7 @@ def main() -> None:
 
     header_end = 4 + struct.calcsize(_HEADER_STRUCT)
     _, flags, n, k, entries = struct.unpack(_HEADER_STRUCT, snapshot[4:header_end])
-    sections = _section_offsets(2, n, k, entries, bool(flags & 1))
+    sections = _section_offsets(n, k, entries, bool(flags & 1))
     struct.pack_into("<q", bad_offsets, sections[2], 7)
     put("bad-offsets.hl", bytes(bad_offsets), "offsets-base")
 
